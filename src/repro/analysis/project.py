@@ -65,7 +65,7 @@ _MUTATING_METHODS = frozenset(
 _DISPATCH_CALLEES = frozenset({"run_trials", "run_batched_trials", "iter_map_chunks"})
 
 #: obs emission APIs catalogued by the schema pass (literal first argument).
-_OBS_APIS = frozenset({"event", "counter", "gauge", "span", "stage"})
+_OBS_APIS = frozenset({"event", "counter", "gauge", "span"})
 
 
 def _attribute_chain(node: ast.AST) -> list[str] | None:
@@ -575,7 +575,7 @@ class _Extractor(ast.NodeVisitor):
         if not chain or len(chain) < 2:
             return
         owner, api = chain[-2], chain[-1]
-        if api not in _OBS_APIS or owner not in ("obs", "log", "perf", "obs_core"):
+        if api not in _OBS_APIS or owner not in ("obs", "log", "obs_core"):
             return
         name = None
         if node.args and isinstance(node.args[0], ast.Constant):

@@ -60,7 +60,6 @@ from repro import config
 from repro.attacks.lp_engine import resolve_engine_name
 from repro.exceptions import AttackError, ValidationError
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 from repro.utils.validation import check_finite_vector
 
 __all__ = [
@@ -366,10 +365,10 @@ def _solve_assembled(
         return capped
 
     k = len(support_list)
-    perf.record_event("lp_solve")
+    obs.counter("lp_solve")
     a_ub_opt = _maybe_sparse(a_ub, a_ub_nnz)
     a_eq_opt = _maybe_sparse(a_eq)
-    with perf.stage("lp_solve"):
+    with obs.span("lp_solve"):
         result = linprog(
             c=-np.ones(k),
             A_ub=a_ub_opt,
@@ -514,7 +513,7 @@ def solve_manipulation_lp(
     if not support_list:
         return _empty_support_solution(bands.lower, bands.upper, x_true, num_paths)
 
-    with perf.stage("lp_assembly"):
+    with obs.span("lp_assembly"):
         sub = _resolve_sub_operator(
             estimator_operator, sub_operator, support_list, num_paths
         )
@@ -603,7 +602,7 @@ class IncrementalLpSolver:
         self._base_lower = np.array(base_bands.lower, dtype=float)
         self._base_upper = np.array(base_bands.upper, dtype=float)
         self._support = _checked_support(support, num_paths)
-        with perf.stage("lp_assembly"):
+        with obs.span("lp_assembly"):
             self._sub_operator = _resolve_sub_operator(
                 estimator_operator, sub_operator, self._support, num_paths
             )
@@ -786,11 +785,11 @@ class IncrementalLpSolver:
                 "rebase bands must have one bound per link "
                 f"({self.num_links}), got {lower.shape} / {upper.shape}"
             )
-        perf.record_event("lp_rebase")
+        obs.counter("lp_rebase")
         self._x_true = x_true
         self._base_lower = lower
         self._base_upper = upper
-        with perf.stage("lp_assembly"):
+        with obs.span("lp_assembly"):
             self._base_a, self._base_b, self._base_keys = _assemble_band_rows(
                 self._sub_operator, lower, upper, x_true
             )
@@ -872,7 +871,7 @@ class IncrementalLpSolver:
             reason = self.presolve_prune_reason(overrides)
             if reason is not None:
                 self.presolve_pruned += 1
-                perf.record_event("lp_presolve_prune")
+                obs.counter("lp_presolve_prune")
                 if obs.is_enabled():
                     obs.event(
                         "lp_presolve_prune",
@@ -887,7 +886,7 @@ class IncrementalLpSolver:
         if self.engine == "highs":
             return self._solve_warm(overrides)
 
-        with perf.stage("lp_assembly"):
+        with obs.span("lp_assembly"):
             a_ub, b_ub, a_ub_nnz = self._rows_for_overrides(overrides)
         if a_ub is self._base_a:
             a_ub = self._base_a_opt  # cached conversion + density decision

@@ -1,9 +1,9 @@
 """Persistent warm-started HiGHS engine for the manipulation LP.
 
-``repro bench`` shows the LP solve dominating the attack pipelines: a
-max-damage scan pays one full :func:`scipy.optimize.linprog` call — with
-its own presolve, scaling and cold simplex start — per candidate victim,
-even though consecutive candidates differ by a *single link's band*.
+The LP solve dominates the attack pipelines: a max-damage scan pays one
+full :func:`scipy.optimize.linprog` call — with its own presolve, scaling
+and cold simplex start — per candidate victim, even though consecutive
+candidates differ by a *single link's band*.
 This module keeps one HiGHS model alive across the whole scan instead:
 
 - :func:`highs_bindings` locates the HiGHS pybind11 API, preferring the
@@ -44,7 +44,6 @@ import scipy.sparse
 from repro import config
 from repro.exceptions import ValidationError
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 
 __all__ = [
     "ENGINE_ENV_VAR",
@@ -292,7 +291,7 @@ class PersistentLpSolver:
         self._model.setOptionValue("output_flag", False)
         self._model.setOptionValue("threads", 1)
         self._model.passModel(lp)
-        perf.record_event("lp_model_build")
+        obs.counter("lp_model_build")
         self.solves = 0
 
     @property
@@ -357,9 +356,9 @@ class PersistentLpSolver:
                 float(lower) if np.isfinite(lower) else -inf,
                 float(upper) if np.isfinite(upper) else inf,
             )
-        perf.record_event("lp_solve")
+        obs.counter("lp_solve")
         try:
-            with perf.stage("lp_solve"):
+            with obs.span("lp_solve"):
                 self._model.run()
                 status = self._model.getModelStatus()
                 optimal = status == hb.HighsModelStatus.kOptimal

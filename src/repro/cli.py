@@ -16,8 +16,6 @@ without writing any code:
   topology x attacker count) from a JSON spec, sharded and resumable;
 - ``reproduce`` — regenerate every Section V-B case study (Figs. 4-6,
   the naive baseline, and the loss-domain variant) into a directory;
-- ``bench`` — run the performance timing harness (instrumented pipeline
-  and seed-vs-optimized comparison) and write ``BENCH_*.json``;
 - ``lint`` — run the per-file repo lint rules (RP001-RP005) over source
   trees;
 - ``analyze`` — run the whole-program analyzer (per-file rules plus the
@@ -132,44 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     reproduce.add_argument("--out", default="reproduction", help="output directory")
     reproduce.add_argument("--seed", type=int, default=2017)
-
-    bench = sub.add_parser(
-        "bench", help="run the perf timing harness and write BENCH_*.json"
-    )
-    bench.add_argument(
-        "target",
-        choices=[
-            "fig1",
-            "fig5",
-            "lp",
-            "sweep",
-            "backends",
-            "estimators",
-            "online",
-            "all",
-        ],
-        nargs="?",
-        default="all",
-        help=(
-            "fig1 = instrumented pipeline, fig5 = seed-vs-optimized comparison, "
-            "lp = cold vs incremental vs warm-started LP engine, "
-            "sweep = cold-vs-cached grid execution, "
-            "backends = dense-vs-sparse kernel crossover, "
-            "estimators = per-family estimate latency across the zoo, "
-            "online = per-epoch churn (incremental evolve vs full refactorize)"
-        ),
-    )
-    bench.add_argument(
-        "--out",
-        default=None,
-        help="output JSON path (default: benchmarks/results/BENCH_<target>.json)",
-    )
-    bench.add_argument("--repeat", type=int, default=3, help="timing repetitions")
-    bench.add_argument(
-        "--trajectory",
-        action="store_true",
-        help="also append a compact point to benchmarks/results/BENCH_trajectory.json",
-    )
 
     sweep = sub.add_parser(
         "sweep", help="run a declarative parameter-grid sweep from a JSON spec"
@@ -329,7 +289,6 @@ def _cmd_info() -> int:
         ("repro.attacks", "the scapegoating strategies and planning"),
         ("repro.detection", "consistency detector, robust estimation"),
         ("repro.scenarios", "case studies and Monte-Carlo experiments"),
-        ("repro.perf", "timing instrumentation and benchmarks"),
         ("repro.obs", "structured run logs, manifests, summaries"),
         ("repro.analysis", "lint rules and runtime algebra contracts"),
     ]
@@ -677,68 +636,6 @@ def _cmd_reproduce(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro.perf.bench import (
-        backends_benchmark,
-        estimators_benchmark,
-        fig1_pipeline_benchmark,
-        fig5_assembly_benchmark,
-        full_perf_benchmark,
-        lp_benchmark,
-        online_benchmark,
-        sweep_cache_benchmark,
-        write_bench_json,
-    )
-
-    if args.target == "fig1":
-        benchmarks = {"fig1_pipeline": fig1_pipeline_benchmark(repeat=args.repeat)}
-    elif args.target == "fig5":
-        benchmarks = {"fig5_max_damage": fig5_assembly_benchmark(repeat=args.repeat)}
-    elif args.target == "lp":
-        benchmarks = {"lp": lp_benchmark(repeat=args.repeat)}
-    elif args.target == "sweep":
-        benchmarks = {"sweep_cache": sweep_cache_benchmark(repeat=args.repeat)}
-    elif args.target == "backends":
-        benchmarks = {"backends": backends_benchmark(repeat=args.repeat)}
-    elif args.target == "estimators":
-        benchmarks = {"estimators": estimators_benchmark(repeat=args.repeat)}
-    elif args.target == "online":
-        benchmarks = {"online": online_benchmark(repeat=args.repeat)}
-    else:
-        benchmarks = full_perf_benchmark(repeat=args.repeat)
-
-    default_name = "BENCH_perf.json" if args.target == "all" else f"BENCH_{args.target}.json"
-    out = Path(args.out) if args.out else Path("benchmarks") / "results" / default_name
-    path = write_bench_json(benchmarks, out)
-    if args.trajectory:
-        from repro.perf.bench import append_trajectory
-
-        trajectory = append_trajectory(
-            benchmarks, Path("benchmarks") / "results" / "BENCH_trajectory.json"
-        )
-        print(f"appended trajectory point to {trajectory}")
-
-    for name, payload in benchmarks.items():
-        print(f"{name}: wall {payload['wall_s'] * 1e3:.2f} ms")
-        for stage_name, info in payload.get("stages", {}).items():
-            print(
-                f"  {stage_name:<18} {info['seconds'] * 1e3:9.3f} ms"
-                f"  ({info['calls']} calls)"
-            )
-        for counter, value in payload.get("counters", {}).items():
-            print(f"  {counter:<18} {value}")
-        speedup = payload.get("speedup")
-        if speedup:
-            parts = ", ".join(
-                f"{key.replace('_', '-')} {value:.2f}x" for key, value in speedup.items()
-            )
-            print(f"  speedup vs seed    {parts}")
-    print(f"wrote {path}")
-    return 0
-
-
 def _cmd_sweep(args) -> int:
     from pathlib import Path
 
@@ -903,8 +800,6 @@ def _dispatch(args) -> int:
         return _cmd_experiment(args)
     if args.command == "reproduce":
         return _cmd_reproduce(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     if args.command == "obs":

@@ -1,12 +1,12 @@
 """Structured observability: JSONL run logs, manifests, and summaries.
 
-``repro.obs`` generalises the :mod:`repro.perf` stage timers into a
-first-class run log.  When a log is active, every instrumented hot path
-(SVD factorisations, LP assembly and solves, Monte-Carlo chunks,
-detection sweeps, the CLI itself) appends one JSON object per event to a
-``.jsonl`` file — nested spans with durations, monotonically aggregated
-counters, and gauge samples — and a *run manifest* (seed, config digest,
-package version, topology summary, wall/CPU time) is written next to it.
+``repro.obs`` is the library's one instrumentation API.  When a log is
+active, every instrumented hot path (SVD factorisations, LP assembly and
+solves, Monte-Carlo chunks, detection sweeps, the CLI itself) appends
+one JSON object per event to a ``.jsonl`` file — nested spans with
+durations, monotonically aggregated counters, and gauge samples — and a
+*run manifest* (seed, config digest, package version, topology summary,
+wall/CPU time) is written next to it.
 
 The layer is **off by default** and costs one global load plus a ``None``
 check per hook when disabled.  Enable it either programmatically::
@@ -25,10 +25,10 @@ Environment variables: ``REPRO_OBS`` (truthy enables), ``REPRO_OBS_PATH``
 (exact run-log path), ``REPRO_OBS_DIR`` (directory for auto-named logs,
 default ``obs_runs/``).
 
-:mod:`repro.perf.instrumentation` is a thin shim over this layer: its
-``stage``/``record_event`` hooks forward into the active event log, so
-every pre-existing instrumentation point shows up in run logs without
-any caller changes.
+Hot paths call the module-level hooks directly — ``obs.span(name)`` around
+timed work, ``obs.counter(name, n)`` for occurrence counts — and read the
+clock only through this layer.  Timing a whole workload, layer by layer,
+is the job of the benchmark in ``perfbench/`` (see its README).
 """
 
 from repro.obs.core import (

@@ -25,11 +25,10 @@ Non-finite floats in user-supplied fields are encoded as the strings
 ``"Infinity"`` / ``"-Infinity"`` / ``"NaN"`` so every line stays strict
 JSON (``allow_nan=False`` is enforced on write).
 
-Like :mod:`repro.perf.instrumentation`, this module is stdlib-only apart
-from the leaf-level :mod:`repro.config` knob registry, and imports
-nothing else from ``repro`` so that any layer can report into it without
-cycles.  When no log is active every module-level hook is a single
-global load plus a ``None`` check.
+This module is stdlib-only apart from the leaf-level :mod:`repro.config`
+knob registry, and imports nothing else from ``repro`` so that any layer
+can report into it without cycles.  When no log is active every
+module-level hook is a single global load plus a ``None`` check.
 """
 
 from __future__ import annotations

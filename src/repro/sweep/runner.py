@@ -36,13 +36,12 @@ import numpy as np
 from repro.exceptions import ReproError, SerializationError
 from repro.metrics.states import StateThresholds
 from repro.obs import core as obs
-from repro.perf import instrumentation as perf
 from repro.scenarios.montecarlo import iter_map_chunks
 from repro.scenarios.scenario import Scenario
 from repro.sweep.cache import FactorizationCache
 from repro.sweep.spec import GridPoint, SweepSpec, build_topology
 
-__all__ = ["build_scenarios", "read_checkpoint", "run_grid_point", "run_sweep"]
+__all__ = ["read_checkpoint", "run_grid_point", "run_sweep"]
 
 
 # ----------------------------------------------------------------------
@@ -79,24 +78,6 @@ def _build_scenario(spec: SweepSpec, topology_index: int) -> Scenario:
         name=entry["label"],
         **kwargs,
     )
-
-
-def build_scenarios(
-    spec: SweepSpec, points: list[GridPoint] | None = None
-) -> dict[int, Scenario]:
-    """Pre-built scenarios for ``points`` (default: the whole grid).
-
-    Returns the per-topology-index dict :func:`run_grid_point` accepts as
-    its ``scenarios`` memo.  Scenario construction is matrix-independent
-    and often dominates cold wall time; building up front lets harnesses
-    (the perf bench, white-box tests) time the factorization work on its
-    own.
-    """
-    points = spec.expand() if points is None else points
-    return {
-        index: _build_scenario(spec, index)
-        for index in sorted({p.topology_index for p in points})
-    }
 
 
 def _sample_attackers(scenario: Scenario, rng: np.random.Generator, count: int) -> list:
@@ -164,7 +145,7 @@ def run_grid_point(
         "num_attackers": point.num_attackers,
         "attackers": [obs.sanitize(a) for a in attackers],
     }
-    perf.record_event("sweep_point")
+    obs.counter("sweep_point")
     with obs.span(
         "sweep_point",
         index=point.index,
@@ -441,7 +422,7 @@ def run_sweep(
     ran = 0
     file_path.parent.mkdir(parents=True, exist_ok=True)
     mode = "a" if (resume and file_path.exists()) else "w"
-    with perf.stage("sweep_run"), file_path.open(mode, encoding="utf-8") as out:
+    with obs.span("sweep_run"), file_path.open(mode, encoding="utf-8") as out:
         if mode == "w":
             out.write(_encode_line(_header_line(spec)) + "\n")
             out.flush()

@@ -156,7 +156,7 @@ class TestPathExemptions:
             == []
         )
 
-    def test_rp003_allows_perf(self, tmp_path):
+    def test_rp003_allows_obs(self, tmp_path):
         source = """
         import time
 
@@ -164,12 +164,16 @@ class TestPathExemptions:
             return time.perf_counter()
         """
         assert (
-            _lint_snippet(tmp_path, source, select=["RP003"], rel_path="perf/bench.py")
+            _lint_snippet(tmp_path, source, select=["RP003"], rel_path="obs/core.py")
             == []
         )
         assert _lint_snippet(
             tmp_path, source, select=["RP003"], rel_path="attacks/lp.py"
         )
+        findings = _lint_snippet(
+            tmp_path, source, select=["RP003"], rel_path="perf/bench.py"
+        )
+        assert findings and "timing belongs in repro.obs" in findings[0].message
 
     def test_rp004_skips_test_modules(self, tmp_path):
         source = """

@@ -260,17 +260,18 @@ class TestIncrementalLpSolver:
 
 
 class TestUnboundedResolve:
-    def test_cap_none_single_assembly(self, fig1_system):
+    def test_cap_none_single_assembly(self, tmp_path, fig1_system):
         """The unbounded re-solve path must reuse assembled constraints:
-        exactly one lp_assembly stage entry for the whole call."""
-        from repro.perf.instrumentation import PerfRecorder, recording
+        exactly one lp_assembly span for the whole call."""
+        from repro.obs import enabled, summarize_run
 
         _, operator, x = fig1_system
         bands = BandConstraints.unbounded(10)
-        with recording(PerfRecorder()) as recorder:
+        path = tmp_path / "run.jsonl"
+        with enabled(path):
             solution = solve_manipulation_lp(operator, x, [0, 1], 23, bands, cap=None)
         assert solution.unbounded
-        assert recorder.stage_calls["lp_assembly"] == 1
+        assert summarize_run(path)["spans"]["lp_assembly"]["calls"] == 1
 
 
 class TestTheorem1Construction:

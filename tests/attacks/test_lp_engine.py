@@ -283,38 +283,34 @@ class TestSolveMany:
             if reference.feasible:
                 assert solution.damage == reference.damage
 
-    def test_generator_is_lazy(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
-
+    def test_generator_is_lazy(self, tmp_path, fig1_system_operator):
         operator, x = fig1_system_operator
         bands = BandConstraints.unbounded(10)
         solver = IncrementalLpSolver(operator, x, [0, 1, 2], 23, bands, cap=500.0)
         overrides = [{j: (801.0, math.inf)} for j in (5, 8, 9)]
-        with recording(PerfRecorder()) as recorder:
+        with obs.enabled(tmp_path / "run.jsonl") as log:
             stream = solver.solve_many(iter(overrides))
             next(stream)
         # Only the consumed candidate was processed (solved or pruned).
         processed = (
-            recorder.counters["lp_solve"] + recorder.counters["lp_presolve_prune"]
+            log.counters["lp_solve"] + log.counters["lp_presolve_prune"]
         )
         assert processed == 1
 
 
 class TestPresolvePruner:
-    def test_hopeless_candidate_pruned_without_solving(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
-
+    def test_hopeless_candidate_pruned_without_solving(self, tmp_path, fig1_system_operator):
         operator, x = fig1_system_operator
         bands = BandConstraints.unbounded(10)
         solver = IncrementalLpSolver(operator, x, [0], 23, bands, cap=10.0)
         # A raise of 1e9 is far beyond cap * positive-mass on any link.
-        with recording(PerfRecorder()) as recorder:
+        with obs.enabled(tmp_path / "run.jsonl") as log:
             solution = solver.solve({9: (float(x[9] + 1e9), math.inf)})
         assert not solution.feasible
         assert solution.status.startswith(PRESOLVE_STATUS_PREFIX)
         assert solver.presolve_pruned == 1
-        assert recorder.counters.get("lp_solve", 0) == 0
-        assert recorder.counters["lp_presolve_prune"] == 1
+        assert log.counters.get("lp_solve", 0) == 0
+        assert log.counters["lp_presolve_prune"] == 1
 
     def test_prune_event_emitted(self, tmp_path, fig1_system_operator):
         operator, x = fig1_system_operator
@@ -654,9 +650,7 @@ class TestRebase:
             if a.feasible:
                 assert a.damage == pytest.approx(b.damage, rel=1e-9, abs=1e-9)
 
-    def test_warm_model_survives_rebase(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
-
+    def test_warm_model_survives_rebase(self, tmp_path, fig1_system_operator):
         operator, x = fig1_system_operator
         solver = self._solver(fig1_system_operator, engine="highs")
         solver.solve({})  # builds the persistent model
@@ -666,28 +660,26 @@ class TestRebase:
         new_x = x + 5.0
         new_bands = BandConstraints.unbounded(10)
         new_bands.require_at_most(9, float(new_x[9] + 50.0))
-        with recording(PerfRecorder()) as recorder:
+        with obs.enabled(tmp_path / "run.jsonl") as log:
             solver.rebase(new_x, new_bands)
             solver.solve({})
         # The same HiGHS model object kept solving: one rebase event, no
         # model rebuild, and the solve counter continued from where it was.
-        assert recorder.counters["lp_rebase"] == 1
-        assert recorder.counters.get("lp_model_build", 0) == 0
+        assert log.counters["lp_rebase"] == 1
+        assert log.counters.get("lp_model_build", 0) == 0
         assert solver._persistent is persistent
         assert persistent.solves == solves_before + 1
 
-    def test_rebase_before_warm_build_is_clean(self, fig1_system_operator):
-        from repro.perf.instrumentation import PerfRecorder, recording
-
+    def test_rebase_before_warm_build_is_clean(self, tmp_path, fig1_system_operator):
         operator, x = fig1_system_operator
         solver = self._solver(fig1_system_operator, engine="highs")
         new_x = x + 1.0
         solver.rebase(new_x, BandConstraints.unbounded(10))
-        with recording(PerfRecorder()) as recorder:
+        with obs.enabled(tmp_path / "run.jsonl") as log:
             solver.solve({})
         # First solve after an early rebase builds the model exactly once,
         # already on the rebased bounds.
-        assert recorder.counters["lp_model_build"] == 1
+        assert log.counters["lp_model_build"] == 1
 
     def test_rebase_validation(self, fig1_system_operator):
         solver = self._solver(fig1_system_operator)

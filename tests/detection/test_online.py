@@ -9,7 +9,6 @@ from repro.detection.consistency import ConsistencyDetector
 from repro.detection.online import OnlineConsistencyDetector
 from repro.exceptions import DetectionError
 from repro.obs import core as obs
-from repro.perf.instrumentation import PerfRecorder, recording
 from repro.tomography.linear_system import LinearSystem
 
 
@@ -109,11 +108,11 @@ class TestCheck:
         assert events[0]["epoch"] == 0
         assert events[0]["detected"] is False
 
-    def test_records_perf_event(self, detector):
+    def test_records_perf_event(self, tmp_path, detector):
         x = np.ones(detector.system.num_links)
-        with recording(PerfRecorder()) as recorder:
+        with obs.enabled(tmp_path / "run.jsonl") as log:
             detector.check(detector.system.predict(x))
-        assert recorder.counters["online_check"] == 1
+        assert log.counters["online_check"] == 1
 
 
 class TestAdvance:

@@ -139,19 +139,3 @@ class TestCacheReuse:
         cold = tmp_path / "cold.jsonl"
         assert main(["sweep", str(spec_file), "--out", str(cold)]) == 0
         assert cold.read_bytes() == first.read_bytes()
-
-
-class TestBenchTarget:
-    @pytest.mark.slow
-    def test_bench_sweep_writes_payload(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(["bench", "sweep", "--repeat", "1", "--out", str(out)]) == 0
-        text = capsys.readouterr().out
-        assert "sweep_cache" in text
-        payload = json.loads(out.read_text())
-        bench = payload["benchmarks"]["sweep_cache"]
-        assert bench["points"] == 6
-        assert bench["cold_s"] > 0 and bench["cached_s"] > 0
-        assert bench["cache_stats"]["system_hit"] > 0
-        assert bench["identical"] == {"cached_vs_cold": True, "store_vs_cold": True}
-        assert bench["store_phase"]["warm_store_stats"]["hit"] >= 1

@@ -213,42 +213,6 @@ class TestObs:
         assert "error" in capsys.readouterr().err
 
 
-class TestBenchEstimators:
-    def test_writes_per_family_latency(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "estimators", "--repeat", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "estimators" in out
-        doc = json.loads(
-            (tmp_path / "benchmarks" / "results" / "BENCH_estimators.json").read_text()
-        )
-        payload = doc["benchmarks"]["estimators"]
-        for label, system in payload["systems"].items():
-            assert set(system["estimators"]) == {
-                "bayes-map", "l1", "ls", "nnls", "ridge",
-            }, label
-            for family in system["estimators"].values():
-                assert family["per_solve_us"] > 0.0
-        # The zoo's default path must stay within noise of the raw kernel.
-        for label, ratio in payload["ls_vs_kernel"].items():
-            assert ratio < 2.0, (label, ratio)
-
-
-class TestBenchTrajectory:
-    def test_trajectory_appends_across_runs(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        for _ in range(2):
-            assert main(["bench", "fig1", "--repeat", "1", "--trajectory"]) == 0
-        out = capsys.readouterr().out
-        assert "appended trajectory point" in out
-        trajectory = tmp_path / "benchmarks" / "results" / "BENCH_trajectory.json"
-        doc = json.loads(trajectory.read_text())
-        assert len(doc["runs"]) == 2
-        assert all(
-            "wall_s" in r["benchmarks"]["fig1_pipeline"] for r in doc["runs"]
-        )
-
-
 class TestReproduce:
     def test_writes_all_case_studies(self, tmp_path, capsys):
         out_dir = tmp_path / "repro_out"
@@ -264,30 +228,3 @@ class TestReproduce:
         fig4 = (out_dir / "fig4_chosen_victim.txt").read_text()
         assert "victim" in fig4
         assert "damage" in fig4
-
-
-class TestBenchOnline:
-    def test_online_target_dispatches_and_writes(self, tmp_path, capsys, monkeypatch):
-        import repro.perf.bench as bench
-
-        def fake_online(*, repeat):
-            return {
-                "bench": "online",
-                "repeat": repeat,
-                "wall_s": 0.25,
-                "scales": {},
-                "speedup": {"online_per_epoch": 9.0},
-            }
-
-        monkeypatch.setattr(bench, "online_benchmark", fake_online)
-        monkeypatch.chdir(tmp_path)
-        assert main(["bench", "online", "--repeat", "2", "--trajectory"]) == 0
-        doc = json.loads(
-            (tmp_path / "benchmarks" / "results" / "BENCH_online.json").read_text()
-        )
-        assert doc["benchmarks"]["online"]["repeat"] == 2
-        trajectory = json.loads(
-            (tmp_path / "benchmarks" / "results" / "BENCH_trajectory.json").read_text()
-        )
-        point = trajectory["runs"][0]["benchmarks"]["online"]
-        assert point["speedup"]["online_per_epoch"] == 9.0

@@ -92,17 +92,17 @@ class TestLinearSystem:
         assert system.estimator is system.estimator
         assert system.residual_projector is system.residual_projector
 
-    def test_single_svd_shared_across_operators(self, fig1_scenario):
-        from repro.perf.instrumentation import PerfRecorder, recording
+    def test_single_svd_shared_across_operators(self, tmp_path, fig1_scenario):
+        from repro.obs import core as obs
 
-        with recording(PerfRecorder()) as recorder:
+        with obs.enabled(tmp_path / "run.jsonl") as log:
             system = LinearSystem(fig1_scenario.path_set.routing_matrix())
             system.estimator
             system.column_space_projector
             system.residual_projector
             system.nullspace
             system.rank
-        assert recorder.counters["svd"] == 1
+        assert log.counters["svd"] == 1
 
     def test_non_2d_rejected(self):
         with pytest.raises(ValueError):
