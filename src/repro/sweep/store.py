@@ -32,9 +32,10 @@ runner's append-only results files):
   into warnings (one ``sweep_store`` obs event, then silence), and the
   owning cache keeps working purely in memory.
 
-The store holds *dense* SVD factors only: the sparse backend's
-Gram/LSMR state is cheap to rebuild and exporting it would force the
-very dense SVD the backend exists to avoid
+The store holds *dense* SVD factors only: the sparse backend's Gram
+factorisation (Cholesky, or the eigendecomposition behind its spectral
+solve) is cheap to rebuild and exporting it would force the very dense
+SVD the backend exists to avoid
 (:meth:`~repro.tomography.linear_system.LinearSystem.export_factors`
 returns ``None`` there, and the cache simply skips persisting).
 """

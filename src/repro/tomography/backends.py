@@ -10,14 +10,16 @@ module supplies two interchangeable numerical cores:
   :func:`repro.utils.linalg.compact_svd`, every derived operator assembled
   from the shared factors.  Bit-identical to the pre-backend kernel.
 - :class:`SparseBackend` — stores ``R`` as ``scipy.sparse.csr_matrix`` and
-  never materialises ``R⁺``.  Estimates are solved matrix-free: a
-  Cholesky factorisation of the *smaller-side* Gram matrix
-  (``R^T R`` when tall, ``R R^T`` when wide) with iterative refinement
-  when the small side has full rank, and LSMR (min-norm least squares)
-  otherwise.  Residuals are two sparse matvecs (``R x_hat - y``) instead
-  of a dense ``(I - R R⁺)`` projector.  Rank queries use the Gram
-  spectrum with a certified decision rule; spectra too ambiguous to
-  certify fall back to the dense factors, so rank decisions never
+  never materialises ``R⁺``.  Estimates are direct solves against the
+  *smaller-side* Gram matrix (``R^T R`` when tall, ``R R^T`` when wide),
+  with iterative refinement: a Cholesky factorisation when the small
+  side has full rank, and otherwise the Gram eigendecomposition that
+  already decides the rank, applied as the pseudo-inverse
+  ``G⁺ = V_r Λ_r⁻¹ V_r^T`` (min-norm least squares).  Residuals are two
+  sparse matvecs (``R x_hat - y``) instead of a dense ``(I - R R⁺)``
+  projector.  Rank decisions use the Gram spectrum with a certified
+  decision rule; spectra too ambiguous to certify fall back to the dense
+  factors — for the rank and the solves alike — so rank decisions never
   silently disagree with the library-wide cutoff convention.
 
 Backend choice is resolved by :func:`resolve_backend_name` with the
@@ -34,7 +36,6 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.linalg import lsmr
 
 from repro import config
 from repro.exceptions import ValidationError
@@ -69,13 +70,9 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 _BACKEND_NAMES = ("dense", "sparse", "auto")
 
-#: LSMR stopping tolerances — far below the library parity tolerance so
-#: iterative estimates agree with the dense pseudo-inverse to <= 1e-8.
-_LSMR_TOL = 1e-13
-
-#: Iterative-refinement passes after a Gram or LSMR solve.  Normal
-#: equations square the condition number; one or two refinement steps
-#: recover the accuracy of a backward-stable direct solve.
+#: Iterative-refinement passes after a Cholesky or spectral Gram solve.
+#: Normal equations square the condition number; one or two refinement
+#: steps recover the accuracy of a backward-stable direct solve.
 _REFINE_STEPS = 2
 
 #: Relative residual floor below which further refinement is pure
@@ -140,12 +137,13 @@ def _certified_rank(
 ) -> int | None:
     """Rank under the shared cutoff, or ``None`` when not certifiable.
 
-    Incrementally updated singular values carry more rounding error than
-    a cold SVD's, so the plain cutoff cannot be trusted near the
-    boundary.  The decision mirrors :class:`SparseBackend`'s certified
-    spectrum rule: every singular value must sit a factor of 4 away from
-    the decision threshold (itself floored at the update noise level);
-    ambiguous spectra return ``None`` and the caller refactorizes cold.
+    ``s`` is descending.  Singular values read off a Gram spectrum or
+    patched by incremental updates carry more rounding error than a cold
+    SVD's, so the plain cutoff cannot be trusted near the boundary: every
+    singular value must sit a factor of 4 away from the decision
+    threshold (itself floored at the ``O(k * eps)`` noise level of the
+    spectrum).  Ambiguous spectra return ``None`` and the caller falls
+    back to a cold dense factorisation.
     """
     k = s.shape[0]
     if k == 0:
@@ -167,23 +165,34 @@ def _certified_rank(
 class DenseBackend:
     """The historical dense kernel: one SVD, dense derived operators.
 
-    ``owner`` is the :class:`~repro.tomography.linear_system.LinearSystem`
-    this backend serves; it provides the dense matrix and the rank
-    tolerance.  Every quantity here is assembled from the one shared
-    :func:`compact_svd` factorisation, exactly as before the backend
-    split — existing results are bit-identical.
+    ``raw`` is ``R`` as the owning
+    :class:`~repro.tomography.linear_system.LinearSystem` received it
+    (dense or scipy sparse) and ``rank_tol`` its rank cutoff.  The
+    backend holds these, not the system itself: a back-reference would
+    make every system a reference cycle that only the cyclic garbage
+    collector frees.  Every quantity here is assembled from the one
+    shared :func:`compact_svd` factorisation, exactly as before the
+    backend split — existing results are bit-identical.
     """
 
     name = "dense"
 
-    def __init__(self, owner) -> None:
-        self._owner = owner
+    def __init__(self, raw, rank_tol: float) -> None:
+        self._raw = raw
+        self._rank_tol = float(rank_tol)
         self._column_memo: dict[tuple, np.ndarray] = {}
+
+    @cached_property
+    def dense_matrix(self) -> np.ndarray:
+        """``R`` as a dense array (``raw`` itself when it already is one)."""
+        if scipy.sparse.issparse(self._raw):
+            return np.asarray(self._raw.todense(), dtype=float)
+        return self._raw
 
     @cached_property
     def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """``(u, s, vt, rank)`` — the one factorisation everything shares."""
-        return compact_svd(self._owner.matrix, rank_tol=self._owner.rank_tol)
+        return compact_svd(self.dense_matrix, rank_tol=self._rank_tol)
 
     @property
     def rank(self) -> int:
@@ -192,6 +201,10 @@ class DenseBackend:
     @property
     def singular_values(self) -> np.ndarray:
         return self.factors[1]
+
+    def numerical_health(self) -> dict:
+        """Which solve serves this system (always the dense SVD here)."""
+        return {"solve": "dense"}
 
     @cached_property
     def estimator(self) -> np.ndarray:
@@ -205,12 +218,12 @@ class DenseBackend:
 
     @cached_property
     def residual_projector(self) -> np.ndarray:
-        return np.eye(self._owner.num_paths) - self.column_space_projector
+        return np.eye(self._raw.shape[0]) - self.column_space_projector
 
     @cached_property
     def nullspace(self) -> np.ndarray:
-        if self._owner.matrix.size == 0:
-            return np.eye(self._owner.num_links)
+        if self.dense_matrix.size == 0:
+            return np.eye(self._raw.shape[1])
         _, _, vt, rank = self.factors
         return vt[rank:].T.copy()
 
@@ -239,10 +252,10 @@ class DenseBackend:
         return vt[:k].T @ scaled
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        return self._owner.matrix @ x
+        return self.dense_matrix @ x
 
     def predict_many(self, xs: np.ndarray) -> np.ndarray:
-        return self._owner.matrix @ xs
+        return self.dense_matrix @ xs
 
     def residual(self, y: np.ndarray) -> np.ndarray:
         return self.column_space_projector @ y - y
@@ -302,7 +315,7 @@ class DenseBackend:
         if not remove_indices and not add_rows:
             target.factors = self.factors
             return True
-        if self._owner.num_links == 0:
+        if self._raw.shape[1] == 0:
             return False
         state = self.factors[:3]
         for index in sorted(remove_indices, reverse=True):
@@ -313,7 +326,7 @@ class DenseBackend:
             state = self.update_path(row, state=state)
         u, s, vt = state
         rank = _certified_rank(
-            s, (u.shape[0], vt.shape[1]), self._owner.rank_tol
+            s, (u.shape[0], vt.shape[1]), self._rank_tol
         )
         if rank is None or not self._certify_factors(target, u, s, vt):
             return False
@@ -339,7 +352,7 @@ class DenseBackend:
         chain accumulated.  Any failure routes the target to a cold
         factorization.
         """
-        matrix = target._owner.matrix
+        matrix = target.dense_matrix
         m, k = u.shape
         n = vt.shape[1]
         grid = np.arange(n, dtype=float)
@@ -366,20 +379,27 @@ class DenseBackend:
 
 
 class SparseBackend:
-    """Matrix-free sparse kernel: CSR storage, Gram/LSMR solves.
+    """Matrix-free sparse kernel: CSR storage, direct small-side Gram solves.
 
     Estimates and residuals never materialise ``R⁺`` or the dense
-    projectors.  Quantities that are irreducibly dense (the full
-    estimator matrix, the projectors, a nullspace basis, singular
-    values) fall back to a lazily constructed :class:`DenseBackend` over
-    the same matrix, so requesting them is always *correct* — merely not
-    matrix-free — and parity with the dense backend is exact for them.
+    projectors.  One factorisation of the ``k x k`` small-side Gram
+    (``k = min(m, n)``) serves rank and solve alike: a certified
+    Cholesky at full small-side rank, else the Gram eigendecomposition
+    whose spectrum certifies the rank.  Only a spectrum too ambiguous to
+    certify routes rank and solves to the dense twin.  Quantities that
+    are irreducibly dense (the full estimator matrix, the projectors, a
+    nullspace basis, singular values) also come from a lazily
+    constructed :class:`DenseBackend` over the same matrix, so
+    requesting them is always *correct* — merely not matrix-free — and
+    parity with the dense backend is exact for them.  Like the dense
+    backend it holds ``raw`` and ``rank_tol``, never its owning system.
     """
 
     name = "sparse"
 
-    def __init__(self, owner) -> None:
-        self._owner = owner
+    def __init__(self, raw, rank_tol: float) -> None:
+        self._raw = raw
+        self._rank_tol = float(rank_tol)
         self._column_memo: dict[tuple, np.ndarray] = {}
         self._regularized_factors: dict[float, tuple] = {}
 
@@ -387,8 +407,8 @@ class SparseBackend:
 
     @cached_property
     def matrix(self) -> scipy.sparse.csr_matrix:
-        """``R`` in CSR form (built once from whichever form the owner has)."""
-        raw = self._owner.raw_matrix
+        """``R`` in CSR form (built once from whichever form ``raw`` has)."""
+        raw = self._raw
         if scipy.sparse.issparse(raw):
             return scipy.sparse.csr_matrix(raw, dtype=float)
         return scipy.sparse.csr_matrix(np.asarray(raw, dtype=float))
@@ -401,7 +421,12 @@ class SparseBackend:
     @cached_property
     def _dense_fallback(self) -> DenseBackend:
         """Dense twin used for irreducibly dense quantities."""
-        return DenseBackend(self._owner)
+        return DenseBackend(self._raw, self._rank_tol)
+
+    @property
+    def dense_matrix(self) -> np.ndarray:
+        """``R`` densified once, shared with the dense twin."""
+        return self._dense_fallback.dense_matrix
 
     # -- small-side Gram factorisation ------------------------------------
 
@@ -423,7 +448,8 @@ class SparseBackend:
         vector through the factorisation and require the round trip to be
         accurate.  A near-singular Gram that Cholesky happens to survive
         fails the round trip and is treated as rank-deficient, routing
-        estimates through LSMR instead of an unstable direct solve.
+        estimates through the spectral solve instead of an unstable
+        direct one.
         """
         gram = self._gram
         k = gram.shape[0]
@@ -449,6 +475,38 @@ class SparseBackend:
         # memory order lets every later cho_solve run copy-free.
         return (np.asfortranarray(np.triu(factor[0])), False)
 
+    @cached_property
+    def _spectral(self) -> tuple | None:
+        """Certified pseudo-inverse factors of a deficient Gram, or None.
+
+        Returns ``(basis, inverse, rank_gap)``: the ``r`` leading Gram
+        eigenvectors (k x r), the reciprocals of their eigenvalues, and
+        ``s_r / s_{r+1}`` (``None`` when ``r`` is 0 or ``k``), where
+        ``r`` is the rank certified by :func:`_certified_rank` on the
+        singular values ``s = sqrt(max(eig, 0))``.  The pseudo-inverse
+        is ``G⁺ = basis diag(inverse) basis^T``.  ``None`` means the
+        spectrum is too ambiguous to certify; rank and solves then fall
+        back to the dense factors.  Consulted only when the Cholesky
+        fails, i.e. when ``R`` has redundancy on its small side.
+        """
+        m, n = self.matrix.shape
+        k = min(m, n)
+        if self.matrix.nnz == 0:
+            return (np.zeros((k, 0)), np.zeros(0), None)
+        obs.counter("gram_eigh")
+        # The divide-and-conquer driver returns the same eigenpairs as
+        # the default MRRR one, measurably faster at routing-matrix sizes.
+        lam, vecs = scipy.linalg.eigh(self._gram, driver="evd", check_finite=False)
+        s = np.sqrt(np.clip(lam[::-1], 0.0, None))
+        rank = _certified_rank(s, (m, n), self._rank_tol)
+        if rank is None:
+            return None
+        rank_gap = None
+        if 0 < rank < k:
+            rank_gap = float(s[rank - 1] / s[rank]) if s[rank] > 0.0 else float("inf")
+        basis = np.ascontiguousarray(vecs[:, k - rank :])
+        return (basis, 1.0 / lam[k - rank :], rank_gap)
+
     # -- rank -------------------------------------------------------------
 
     @cached_property
@@ -456,13 +514,13 @@ class SparseBackend:
         """Numerical rank under the shared cutoff, without a dense SVD.
 
         Full small-side rank is certified by the Gram Cholesky.  When the
-        Gram is deficient, the rank is read off its eigenvalue spectrum,
-        but only when every eigenvalue sits far from the decision
-        threshold (a factor-4 spectral gap both ways); ambiguous spectra
-        — where squaring the condition number could miscount — fall back
-        to the exact dense factorisation.  Routing matrices have integer
-        spectra whose zero singular values are exact, so the fallback is
-        rare in practice.
+        Gram is deficient, the rank is read off its eigenvalue spectrum
+        (:attr:`_spectral`), but only when every eigenvalue sits far from
+        the decision threshold (a factor-4 spectral gap both ways);
+        ambiguous spectra — where squaring the condition number could
+        miscount — fall back to the exact dense factorisation.  Routing
+        matrices have integer spectra whose zero singular values are
+        exact, so the fallback is rare in practice.
         """
         m, n = self.matrix.shape
         k = min(m, n)
@@ -470,21 +528,8 @@ class SparseBackend:
             return 0
         if self._cholesky is not None:
             return k
-        obs.counter("gram_eigh")
-        lam = scipy.linalg.eigvalsh(self._gram)
-        s = np.sqrt(np.clip(lam, 0.0, None))
-        s_max = float(s[-1])
-        if s_max == 0.0:
-            return 0
-        cutoff = self._owner.rank_tol * max(m, n) * s_max
-        # Resolution floor of the Gram spectrum in singular-value units:
-        # eigenvalues carry O(k * eps * lam_max) absolute error.
-        noise = s_max * np.sqrt(64.0 * k * np.finfo(float).eps)
-        threshold = max(cutoff, 8.0 * noise)
-        clear_above = s >= 4.0 * threshold
-        clear_below = s <= threshold / 4.0
-        if bool(np.all(clear_above | clear_below)):
-            return int(np.count_nonzero(clear_above))
+        if self._spectral is not None:
+            return self._spectral[0].shape[1]
         return self._dense_fallback.rank
 
     @property
@@ -496,105 +541,132 @@ class SparseBackend:
         """Exact singular values require the dense factors (documented cost)."""
         return self._dense_fallback.singular_values
 
+    def numerical_health(self) -> dict:
+        """Which solve serves this system, plus the spectral rank margin.
+
+        ``solve`` is ``"cholesky"``, ``"spectral"`` or ``"dense"`` (the
+        uncertified-spectrum fallback); the spectral path also reports
+        ``rank_gap``, the ratio of the smallest kept to the largest
+        dropped singular value.
+        """
+        if self._cholesky is not None:
+            return {"solve": "cholesky"}
+        if self._spectral is None:
+            return {"solve": "dense"}
+        return {"solve": "spectral", "rank_gap": self._spectral[2]}
+
     # -- solves -----------------------------------------------------------
 
-    def _solve_gram_tall(self, ys: np.ndarray) -> np.ndarray:
-        """Full column rank: ``x = (R^T R)^{-1} R^T y`` with refinement.
+    def _cholesky_inverse(self, rhs: np.ndarray) -> np.ndarray:
+        """``G^{-1} rhs`` through the certified Cholesky factor."""
+        return scipy.linalg.cho_solve(self._cholesky, rhs, check_finite=False)
 
+    def _spectral_inverse(self, rhs: np.ndarray) -> np.ndarray:
+        """``G⁺ rhs = V_r Λ_r⁻¹ V_r^T rhs`` — two GEMMs, any block width."""
+        basis, inverse, _ = self._spectral
+        coef = basis.T @ rhs
+        coef *= inverse if coef.ndim == 1 else inverse[:, None]
+        return basis @ coef
+
+    def _solve_gram_tall(self, ys: np.ndarray, inverse) -> np.ndarray:
+        """Tall: ``x = G⁺ R^T y`` with ``G = R^T R``, refined.
+
+        ``inverse`` applies ``G^{-1}`` (Cholesky) or ``G⁺`` (spectral);
+        ``R^T y`` lies in the range of ``G`` either way, so the
+        normal-equation residual vanishes at the min-norm solution.
         Refinement residuals use two sparse matvecs instead of a dense
         Gram GEMV — same arithmetic, but ``O(nnz)`` instead of ``O(k^2)``
         traffic — and stop early once the residual hits roundoff.
         """
-        factor = self._cholesky
         aty = self.matrix_t @ ys
         scale = max(1.0, float(np.abs(aty).max(initial=0.0)))
-        x = scipy.linalg.cho_solve(factor, aty, check_finite=False)
+        x = inverse(aty)
         for _ in range(_REFINE_STEPS):
             residual = aty - self.matrix_t @ (self.matrix @ x)
             if float(np.abs(residual).max(initial=0.0)) <= _REFINE_ATOL * scale:
                 break
-            x = x + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+            x = x + inverse(residual)
         return x
 
     def _solve_gram_wide(self, ys: np.ndarray) -> np.ndarray:
         """Full row rank: min-norm ``x = R^T (R R^T)^{-1} y`` with refinement."""
-        factor = self._cholesky
         scale = max(1.0, float(np.abs(ys).max(initial=0.0)))
-        z = scipy.linalg.cho_solve(factor, ys, check_finite=False)
+        z = self._cholesky_inverse(ys)
         for _ in range(_REFINE_STEPS):
             residual = ys - self.matrix @ (self.matrix_t @ z)
             if float(np.abs(residual).max(initial=0.0)) <= _REFINE_ATOL * scale:
                 break
-            z = z + scipy.linalg.cho_solve(factor, residual, check_finite=False)
+            z = z + self._cholesky_inverse(residual)
         return self.matrix_t @ z
 
-    def _solve_lsmr(self, y: np.ndarray) -> np.ndarray:
-        """Min-norm least squares via LSMR, with refinement passes.
+    def _solve_spectral_wide(self, ys: np.ndarray) -> np.ndarray:
+        """Deficient wide: min-norm ``x = R^T G⁺ y`` with ``G = R R^T``.
 
-        LSMR iterates in the row space of ``R`` from a zero start, so its
-        limit — and every refinement correction — is the minimum-norm
-        least-squares solution, matching ``R⁺ y`` for rank-deficient
-        systems too.
+        ``y`` need not lie in the column space of ``R``, so ``y - R x``
+        does not vanish at the solution; progress is measured on the
+        normal-equation residual ``R^T (y - R x)``, which does.  Each
+        correction re-applies the estimator to the raw residual —
+        ``G⁺`` drops its out-of-range part.
         """
-        matrix = self.matrix
-        if matrix.nnz == 0:
-            return np.zeros(matrix.shape[1])
-        x = lsmr(matrix, y, atol=_LSMR_TOL, btol=_LSMR_TOL, conlim=1e14)[0]
+        aty = self.matrix_t @ ys
+        scale = max(1.0, float(np.abs(aty).max(initial=0.0)))
+        x = self.matrix_t @ self._spectral_inverse(ys)
         for _ in range(_REFINE_STEPS):
-            residual = y - matrix @ x
-            correction = lsmr(
-                matrix, residual, atol=_LSMR_TOL, btol=_LSMR_TOL, conlim=1e14
-            )[0]
-            if not np.any(correction):
+            residual = ys - self.matrix @ x
+            normal = self.matrix_t @ residual
+            if float(np.abs(normal).max(initial=0.0)) <= _REFINE_ATOL * scale:
                 break
-            x = x + correction
+            x = x + self.matrix_t @ self._spectral_inverse(residual)
         return x
+
+    def _solve(self, ys: np.ndarray) -> np.ndarray:
+        """``R⁺ ys`` for a vector or a block, on the certified path."""
+        m, n = self.matrix.shape
+        if self._cholesky is not None:
+            if m >= n:
+                return self._solve_gram_tall(ys, self._cholesky_inverse)
+            return self._solve_gram_wide(ys)
+        if self._spectral is None:
+            obs.counter("sparse_dense_fallback")
+            return self._dense_fallback.estimate_many(ys)
+        if m >= n:
+            return self._solve_gram_tall(ys, self._spectral_inverse)
+        return self._solve_spectral_wide(ys)
 
     def estimate(self, y: np.ndarray) -> np.ndarray:
         obs.counter("sparse_solve")
-        if self._cholesky is not None:
-            m, n = self.matrix.shape
-            solve = self._solve_gram_tall if m >= n else self._solve_gram_wide
-            return solve(np.asarray(y, dtype=float))
-        return self._solve_lsmr(np.asarray(y, dtype=float))
+        return self._solve(np.asarray(y, dtype=float))
 
     def estimate_many(self, ys: np.ndarray) -> np.ndarray:
-        """Multi-RHS estimate: one Gram solve per chunk when certified.
+        """Multi-RHS estimate: one blocked Gram solve per chunk.
 
-        With a certified full-rank Gram the whole block is one LAPACK
-        triangular multi-solve; otherwise each column runs LSMR (the
-        min-norm path has no blocked equivalent in scipy).
+        The Cholesky and spectral solves both take the whole block in
+        LAPACK/BLAS multi-RHS calls, rank-deficient systems included.
         """
         block = np.asarray(ys, dtype=float)
         obs.counter("sparse_solve")
         if block.ndim == 2 and block.shape[1] == 0:
             return np.zeros((self.matrix.shape[1], 0))
-        if self._cholesky is not None:
-            m, n = self.matrix.shape
-            solve = self._solve_gram_tall if m >= n else self._solve_gram_wide
-            return solve(block)
-        if block.ndim == 1:
-            return self._solve_lsmr(block)
-        return np.stack(
-            [self._solve_lsmr(block[:, j]) for j in range(block.shape[1])], axis=1
-        )
+        return self._solve(block)
 
     def _regularized_cholesky(self, lam: float) -> tuple:
-        """Cholesky of the shifted small-side Gram ``G + lam I`` (memoised).
+        """``(G + lam I, its Cholesky)`` for the small-side Gram (memoised).
 
         ``lam > 0`` makes the shifted Gram positive definite whatever the
-        rank of ``R``, so this factorisation always succeeds — no LSMR
-        fallback needed on the regularized path.  One estimator instance
-        solves many right-hand sides with a fixed ``lam``, hence the
-        per-``lam`` memo.
+        rank of ``R``, so this factorisation always succeeds — no
+        spectral fallback needed on the regularized path.  One estimator
+        instance solves many right-hand sides with a fixed ``lam``, hence
+        the per-``lam`` memo; the shifted Gram is kept with its factor
+        because every refinement step multiplies by it.
         """
-        factor = self._regularized_factors.get(float(lam))
-        if factor is None:
+        entry = self._regularized_factors.get(float(lam))
+        if entry is None:
             obs.counter("gram_cholesky")
             shifted = self._gram + float(lam) * np.eye(self._gram.shape[0])
             factor = scipy.linalg.cho_factor(shifted, check_finite=False)
-            self._regularized_factors[float(lam)] = factor
-        return factor
+            entry = (shifted, factor)
+            self._regularized_factors[float(lam)] = entry
+        return entry
 
     def regularized_estimate_many(self, ys: np.ndarray, lam: float) -> np.ndarray:
         """Tikhonov solve via the small-side Gram, matrix-free either way.
@@ -608,8 +680,7 @@ class SparseBackend:
         """
         block = np.asarray(ys, dtype=float)
         obs.counter("sparse_solve")
-        factor = self._regularized_cholesky(lam)
-        shifted = self._gram + float(lam) * np.eye(self._gram.shape[0])
+        shifted, factor = self._regularized_cholesky(lam)
         m, n = self.matrix.shape
         if m >= n:
             rhs = self.matrix_t @ block
@@ -653,9 +724,9 @@ class SparseBackend:
         )
 
     def _estimator_columns_uncached(self, cols: np.ndarray) -> np.ndarray:
-        m = self._owner.num_paths
+        m, n = self.matrix.shape
         if cols.size == 0:
-            return np.zeros((self._owner.num_links, 0))
+            return np.zeros((n, 0))
         unit = np.zeros((m, cols.size))
         unit[cols, np.arange(cols.size)] = 1.0
         return self.estimate_many(unit)
@@ -667,7 +738,7 @@ class SparseBackend:
         )
 
     def _residual_columns_uncached(self, cols: np.ndarray) -> np.ndarray:
-        m = self._owner.num_paths
+        m = self.matrix.shape[0]
         if cols.size == 0:
             return np.zeros((m, 0))
         unit = np.zeros((m, cols.size))
@@ -680,8 +751,10 @@ class SparseBackend:
         """``(matrix, chol)`` snapshot to evolve from, or ``None``.
 
         Only the certified-Cholesky regime evolves incrementally: the
-        LSMR (rank-deficient) regime has no factor to patch, and a
-        system that was never solved has nothing worth carrying over.
+        rank-deficient (spectral) regime would need a patched
+        eigendecomposition with its own certificate, so it refactorizes
+        cold, and a system that was never solved has nothing worth
+        carrying over.
         The dense Gram is deliberately NOT part of the evolving state —
         every consumer (refinement, certification) works from sparse
         matvecs, so carrying the ``k x k`` Gram forward would only add a

@@ -12,12 +12,14 @@ do not.
 numerics live in a pluggable backend (:mod:`repro.tomography.backends`):
 the dense backend runs *one* economy SVD of ``R`` and derives every
 operator from the same factors; the sparse backend stores ``R`` in CSR
-form and solves estimates matrix-free (Gram Cholesky / LSMR) without ever
-materialising ``R⁺``.  Which backend runs is resolved per system —
-explicit ``backend=`` argument, then the ``REPRO_BACKEND`` environment
-variable, then a size/density heuristic — so attack contexts, detectors,
-the sweep cache and Monte-Carlo drivers pick the right kernel
-transparently.
+form and solves estimates directly against the small-side Gram matrix
+(Cholesky at full rank, its eigendecomposition as a pseudo-inverse when
+rank-deficient, the dense factors when that spectrum cannot be
+certified) without ever materialising ``R⁺``.  Which backend runs is
+resolved per system — explicit ``backend=`` argument, then the
+``REPRO_BACKEND`` environment variable, then a size/density heuristic —
+so attack contexts, detectors, the sweep cache and Monte-Carlo drivers
+pick the right kernel transparently.
 """
 
 from __future__ import annotations
@@ -99,9 +101,8 @@ class LinearSystem:
             density=density(self._raw),
             sparse_input=sparse_input,
         )
-        self._backend = (
-            SparseBackend(self) if name == "sparse" else DenseBackend(self)
-        )
+        backend_type = SparseBackend if name == "sparse" else DenseBackend
+        self._backend = backend_type(self._raw, self._rank_tol)
 
     # -- backend plumbing --------------------------------------------------
 
@@ -127,13 +128,11 @@ class LinearSystem:
         For the dense backend this is the shared SVD; for the sparse
         backend it is the Gram factorisation that certifies rank and
         powers multi-RHS solves.  Either way the event fires exactly once
-        per system, tagged with the backend that did the work.
+        per system, tagged with the backend that did the work and the
+        solve it runs (``solve``: ``cholesky``/``spectral``/``dense``;
+        the spectral path adds its ``rank_gap`` margin).
         """
-        rank = (
-            self._backend.factors[3]
-            if self._backend.name == "dense"
-            else self._backend.rank
-        )
+        rank = self._backend.rank
         if obs.is_enabled():
             obs.event(
                 "linear_system_factorize",
@@ -141,6 +140,7 @@ class LinearSystem:
                 links=self.num_links,
                 rank=rank,
                 backend=self.backend_name,
+                **self._backend.numerical_health(),
             )
         return self._backend
 
@@ -164,10 +164,11 @@ class LinearSystem:
         Returns ``{"u", "s", "vt", "rank"}`` — exactly what
         :func:`repro.utils.linalg.compact_svd` produced — forcing the
         factorisation if it has not run yet.  Only the dense backend
-        exports: the sparse backend's Gram/LSMR state is cheap to rebuild
-        and exporting it would force the dense SVD it exists to avoid, so
-        it returns ``None`` (callers skip persisting).  The payload is
-        what :meth:`import_factors` and the sweep engine's cross-process
+        exports: the sparse backend's Gram factorisation (Cholesky or
+        eigendecomposition) is cheap to rebuild and exporting it would
+        force the dense SVD it exists to avoid, so it returns ``None``
+        (callers skip persisting).  The payload is what
+        :meth:`import_factors` and the sweep engine's cross-process
         factorization store consume.
         """
         if self.backend_name != "dense":
@@ -256,10 +257,13 @@ class LinearSystem:
         added = [
             check_finite_vector(row, "added row", length=n) for row in add_rows
         ]
-        if scipy.sparse.issparse(self._raw):
+        # The sparse backend evolves its CSR copy: slicing the dense raw
+        # matrix would copy all of it and re-sparsify it every epoch.
+        base = self._backend.matrix if self.backend_name == "sparse" else self._raw
+        if scipy.sparse.issparse(base):
             keep = np.ones(m, dtype=bool)
             keep[removals] = False
-            parts = [self._raw[keep]]
+            parts = [base[keep]]
             if added:
                 parts.append(scipy.sparse.csr_matrix(np.asarray(added)))
             new_raw = scipy.sparse.vstack(parts, format="csr")
@@ -290,12 +294,14 @@ class LinearSystem:
 
     # -- basic shape ------------------------------------------------------
 
-    @cached_property
+    @property
     def matrix(self) -> np.ndarray:
-        """The routing matrix ``R`` as a dense array (treat as read-only)."""
-        if scipy.sparse.issparse(self._raw):
-            return np.asarray(self._raw.todense(), dtype=float)
-        return self._raw
+        """The routing matrix ``R`` as a dense array (treat as read-only).
+
+        Densified at most once per system (a sparse ``R`` only on
+        request) and shared with the backend's dense factorisation.
+        """
+        return self._backend.dense_matrix
 
     @property
     def num_paths(self) -> int:

@@ -277,6 +277,23 @@ class TestInstrumentedLibrary:
         assert events[0]["links"] == 3
         assert events[0]["rank"] == 2
 
+    def test_factorize_event_reports_solve_and_rank_gap(self, tmp_path):
+        """Numerical health: which solve runs, and the spectral rank margin."""
+        from repro.tomography.linear_system import LinearSystem
+
+        full = np.asarray([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        redundant = np.vstack([full, full.sum(axis=0)])
+        path = tmp_path / "run.jsonl"
+        with obs.enabled(path):
+            LinearSystem(full, backend="dense").rank
+            LinearSystem(full, backend="sparse").rank
+            LinearSystem(redundant, backend="sparse").rank
+        events = [r for r in read_events(path) if r.get("name") == "linear_system_factorize"]
+        assert [e["solve"] for e in events] == ["dense", "cholesky", "spectral"]
+        assert "rank_gap" not in events[0] and "rank_gap" not in events[1]
+        assert events[2]["rank"] == 2
+        assert events[2]["rank_gap"] == "Infinity" or events[2]["rank_gap"] > 1e4
+
     def test_factorize_event_keeps_sparse_r_sparse(self, tmp_path):
         """The factorize event must not hash ``R``: the digest walks the
         dense matrix, which on the sparse backend would densify it."""

@@ -11,6 +11,7 @@ separately.
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.stats
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -149,6 +150,86 @@ class TestParity:
             sparse.residual_projector_columns(path_cols),
             dense.residual_projector[:, path_cols],
             atol=PARITY_TOL,
+        )
+
+
+def _redundant_wide(seed: int = 3) -> np.ndarray:
+    """Wide ``R`` with duplicated and summed rows (``max_per_pair=2`` shape).
+
+    Two paths per pair over a shared backbone make rows repeat, and a
+    path spliced from two link-disjoint paths is the sum of their rows,
+    so ``rank < |P| < |L|``: the regime where the eq. 23 check can fire.
+    """
+    base = _incidence(18, 60, 3, seed)
+    extra = [base[i] for i in range(4)]
+    for i in range(base.shape[0]):
+        for j in range(i + 1, base.shape[0]):
+            if not np.any(base[i] * base[j]) and len(extra) < 10:
+                extra.append(base[i] + base[j])
+    return np.vstack([base, np.asarray(extra)])
+
+
+def _deficient_tall(seed: int = 5) -> np.ndarray:
+    """Tall ``R`` whose columns repeat: links that always co-occur."""
+    matrix = _incidence(40, 16, 4, seed)
+    matrix[:, 15] = matrix[:, 14]
+    matrix[:, 13] = matrix[:, 12]
+    return matrix
+
+
+class TestDeficientRegime:
+    """Rank-deficient sparse systems: the spectral solve matches ``R⁺``."""
+
+    @pytest.mark.parametrize("build", [_redundant_wide, _deficient_tall])
+    def test_spectral_solve_matches_dense(self, build):
+        matrix = build()
+        dense, sparse = _pair(matrix)
+        assert sparse.rank == dense.rank < min(matrix.shape)
+        assert sparse._backend.numerical_health()["solve"] == "spectral"
+        rng = np.random.default_rng(17)
+        observed = rng.uniform(0.0, 100.0, size=matrix.shape[0])
+        block = rng.uniform(0.0, 100.0, size=(matrix.shape[0], 5))
+        cols = np.array([0, 2, matrix.shape[0] - 1])
+
+        np.testing.assert_allclose(
+            sparse.estimate(observed), dense.estimate(observed), atol=PARITY_TOL
+        )
+        np.testing.assert_allclose(
+            sparse.estimate_many(block), dense.estimate_many(block), atol=PARITY_TOL
+        )
+        np.testing.assert_allclose(
+            sparse.residual(observed), dense.residual(observed), atol=PARITY_TOL
+        )
+        np.testing.assert_allclose(
+            sparse.estimator_columns(cols), dense.estimator[:, cols], atol=PARITY_TOL
+        )
+        np.testing.assert_allclose(
+            sparse.residual_projector_columns(cols),
+            dense.residual_projector[:, cols],
+            atol=PARITY_TOL,
+        )
+
+    def test_ambiguous_spectrum_goes_through_dense_fallback(self, tmp_path):
+        from repro.obs import core as obs
+
+        # One singular value inside the factor-4 band around the Gram
+        # noise floor (~3e-6 s_max at this size): too close to call from
+        # the squared spectrum, so rank and solves use the dense factors.
+        rng = np.random.default_rng(23)
+        u = scipy.stats.ortho_group.rvs(8, random_state=rng)
+        v = scipy.stats.ortho_group.rvs(20, random_state=rng)
+        s = np.array([1.0, 0.8, 0.5, 3e-6, 0.0, 0.0, 0.0, 0.0])
+        matrix = (u * s) @ v[:8]
+        dense, sparse = _pair(matrix)
+        observed = rng.uniform(0.0, 1.0, size=8)
+        with obs.enabled(tmp_path / "run.jsonl") as log:
+            assert sparse.rank == dense.rank == 4
+            estimate = sparse.estimate(observed)
+        assert sparse._backend.numerical_health() == {"solve": "dense"}
+        assert log.counters["sparse_dense_fallback"] == 1
+        np.testing.assert_allclose(estimate, dense.estimate(observed), atol=PARITY_TOL)
+        np.testing.assert_allclose(
+            sparse.residual(observed), dense.residual(observed), atol=PARITY_TOL
         )
 
 

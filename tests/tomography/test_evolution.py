@@ -11,8 +11,12 @@ tests pin down that the fast path actually ran, and a timed churn stream
 on real ISP shortest paths checks that it pays off.
 """
 
+import gc
 import os
+import pickle
 import time
+import weakref
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -208,7 +212,10 @@ def _best_of(fn, repeat: int) -> float:
 def _isp_shortest_paths(seed: int, target_paths: int):
     """Distinct shortest paths between sampled router pairs on the large
     ISP topology.  A pair sampled twice would add an identical row, and the
-    Gram-Cholesky regime needs full row rank, so duplicates are skipped."""
+    incremental Gram-Cholesky path needs full row rank, so duplicates are
+    skipped.  A full-row-rank ``R`` (``rank == |P|``) leaves no residual for
+    the eq. 23 check: as a detector it is structurally blind (Theorem 3).
+    The stream times the evolve kernel only, not detection."""
     rng = np.random.default_rng(seed)
     topology = large_isp_topology(seed=seed)
     nodes = topology.nodes()
@@ -326,3 +333,74 @@ class TestEvolveValidation:
         system.evolve(remove_indices=[0], add_rows=[np.ones(6)])
         assert np.array_equal(np.asarray(system.matrix), before)
         assert system.num_paths == 8
+
+
+def _live_systems() -> int:
+    return sum(isinstance(obj, LinearSystem) for obj in gc.get_objects())
+
+
+@contextmanager
+def _cyclic_gc_off():
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+class TestEvolvedSystemsAreFreed:
+    """A system must die with its last reference, not wait for the cyclic GC.
+
+    A backend that pointed back at its system made every system a
+    reference cycle; a churn stream then kept each epoch's dead system
+    (and its dense copies) alive until the collector happened to run.
+    """
+
+    def test_dropped_parent_is_freed_at_once(self):
+        rng = np.random.default_rng(31)
+        base = _incidence(14, 40, 4, 31)
+        # A repeated row keeps the stream in the rank-deficient regime.
+        system = LinearSystem(
+            scipy.sparse.csr_matrix(np.vstack([base, base[:2]])), backend="sparse"
+        )
+        with _cyclic_gc_off():
+            for epoch in range(10):
+                system.estimate(rng.uniform(0.0, 50.0, size=system.num_paths))
+                system.matrix  # populate the dense twin too
+                parent = weakref.ref(system)
+                (row,) = _random_rows(1, 40, 4, 100 + epoch)
+                system = system.evolve(remove_indices=[epoch % 3], add_rows=[row])
+                assert parent() is None, f"parent of epoch {epoch} still alive"
+
+    def test_factorized_system_round_trips_through_pickle(self):
+        system = LinearSystem(scipy.sparse.csr_matrix(_incidence(9, 20, 3, 4)))
+        observed = np.arange(9, dtype=float)
+        expected = system.estimate(observed)
+        clone = pickle.loads(pickle.dumps(system))
+        assert np.array_equal(clone.estimate(observed), expected)
+
+    def test_streaming_campaign_keeps_at_most_two_systems(self):
+        from repro.scenarios.scenario import Scenario
+        from repro.scenarios.streaming import StreamingCampaign, random_churn_schedule
+        from repro.topology.generators import isp
+
+        topology = isp.synthetic_rocketfuel("toy-isp", backbone_nodes=6, seed=0)
+        scenario = Scenario.build(topology, pair_budget=30, max_per_pair=2, rng=0)
+        transit = sorted(
+            {node for path in scenario.path_set.paths() for node in path.interior_nodes},
+            key=str,
+        )
+        schedule = random_churn_schedule(
+            scenario.path_set.num_paths, 12, churn_rate=0.05, rng=4
+        )
+        with _cyclic_gc_off():
+            before = _live_systems()
+            campaign = StreamingCampaign(
+                scenario, attacker_nodes=transit[:2], backend="sparse"
+            )
+            system = campaign.detector.system
+            assert system.rank < system.num_paths  # a detector that can fire
+            del system
+            campaign.run(schedule, active_epochs=0.5, rng=5)
+            assert _live_systems() - before <= 2
